@@ -39,8 +39,12 @@ vet:
 build:
 	$(GO) build ./...
 
+# The PC-table builders fan persons out over GOMAXPROCS workers; their
+# oracle tests run again at 1, 2 and 4 so the tables are shown identical
+# for every worker count.
 test:
 	$(GO) test ./...
+	$(GO) test -count=1 -cpu 1,2,4 -run 'Oracle' ./internal/params/
 
 # View-vs-txn read-path comparison over every Interactive query
 # (allocation counts matter: the view path's adjacency iteration must
@@ -143,13 +147,14 @@ bench-query:
 
 # One short iteration of every query benchmark on every path (Interactive
 # txn/view plus the BI serial/parallel sweep, the recovery comparison,
-# the memory-footprint sweep at its first two scales and the
-# declarative-vs-hand query-layer comparison): dispatch-layer
-# regressions (a query losing a path, a signature drift) fail fast here
-# without paying for a full measurement run. SNB_SMOKE_FULL additionally
+# the memory-footprint sweep at its first two scales, the
+# declarative-vs-hand query-layer comparison and parameter curation at
+# 1000 persons): dispatch-layer regressions (a query losing a path, a
+# signature drift) fail fast here without paying for a full measurement
+# run. SNB_SMOKE_FULL additionally
 # runs the 1000-person recovered-store workload-equivalence sweep, proving
 # the compact checkpoint format at a scale where the dictionary and varint
 # sections carry real weight.
 bench-smoke:
-	$(GO) test ./internal/bench/ -run xxx -bench 'BenchmarkViewVsTxn|BenchmarkBISerialVsParallel|BenchmarkRecovery|BenchmarkMemory/sf=(250|1000)p|BenchmarkWrite/sync=commit/writers=2$$|BenchmarkQueryDeclVsHand' -benchtime 1x -benchmem
+	$(GO) test ./internal/bench/ -run xxx -bench 'BenchmarkViewVsTxn|BenchmarkBISerialVsParallel|BenchmarkRecovery|BenchmarkMemory/sf=(250|1000)p|BenchmarkWrite/sync=commit/writers=2$$|BenchmarkQueryDeclVsHand|BenchmarkPreparePools' -benchtime 1x -benchmem
 	SNB_SMOKE_FULL=1 $(GO) test ./internal/bench/ -run 'TestRecoveredStoreServesWorkload' -count=1

@@ -15,8 +15,9 @@ import (
 	"ldbcsnb/internal/xrand"
 )
 
-// Ablation experiments for the design choices DESIGN.md §4 calls out
-// (beyond the Figure 4 join ablation).
+// Ablation experiments for the paper's design choices — windowed update
+// replay (§4.2), time-ordered IDs (§2.4) and curated parameters (§4.1) —
+// beyond the Figure 4 join ablation.
 
 // AblationWindowed — sequential/windowed vs per-dependent synchronisation:
 // replay the same update stream in parallel mode (every dependent waits on

@@ -39,15 +39,11 @@ type PersistOptions struct {
 	// single-lane directories are byte-for-byte the v1 layout.
 	WALLanes int
 	// WALSync selects the per-batch durability barrier (see WALSyncMode).
+	// The zero value, SyncClose, is flush-on-close: a machine crash may
+	// lose the records buffered since the last SyncWAL/Close/checkpoint
+	// rotation (process death alone loses at most the in-process buffers,
+	// which SyncWAL and Close drain).
 	WALSync WALSyncMode
-	// SyncOnCommit is the pre-lane spelling of WALSync == SyncCommit, kept
-	// as a compatibility alias: every commit is acknowledged only after
-	// its redo record is fsynced. Without either, the durability contract
-	// is flush-on-close — a machine crash may lose the records buffered
-	// since the last SyncWAL/Close/checkpoint rotation (process death
-	// alone loses at most the in-process buffers, which SyncWAL and Close
-	// drain).
-	SyncOnCommit bool
 	// GroupCommitRecords caps how many records one group-commit batch may
 	// coalesce (0 = unbounded: drain everything pending). Mostly a test
 	// and ablation knob; the cap trades fsync amortisation for bounded
@@ -255,11 +251,7 @@ func Open(dir string, opts PersistOptions, register func(*Store)) (*Persistent, 
 			return nil, info, err
 		}
 	}
-	mode := opts.WALSync
-	if opts.SyncOnCommit && mode == SyncClose {
-		mode = SyncCommit
-	}
-	s.gwal = newGroupWAL(mode, wsegs, opts.GroupCommitRecords, s.clock.Load(), p.onAppend)
+	s.gwal = newGroupWAL(opts.WALSync, wsegs, opts.GroupCommitRecords, s.clock.Load(), p.onAppend)
 
 	p.wg.Add(1)
 	go p.checkpointLoop()

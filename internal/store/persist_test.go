@@ -673,9 +673,10 @@ func TestBadCheckpointFallsBack(t *testing.T) {
 	assertStoresEqual(t, live, re.Store, pop)
 }
 
-// TestSyncOnCommit pins the fsync-on-commit durability mode: every
-// committed record is on disk before Commit returns, with no flush call.
-// The buffered mode keeps records in the process until FlushWAL/Sync.
+// TestSyncOnCommit pins the fsync-on-commit durability mode (WALSync:
+// SyncCommit): every committed record is on disk before Commit returns,
+// with no flush call. The buffered mode keeps records in the process until
+// FlushWAL/Sync.
 func TestSyncOnCommit(t *testing.T) {
 	walSize := func(dir string) int64 {
 		var total int64
@@ -697,7 +698,7 @@ func TestSyncOnCommit(t *testing.T) {
 
 	dir := t.TempDir()
 	opts := manualOpts()
-	opts.SyncOnCommit = true
+	opts.WALSync = SyncCommit
 	p, _, err := Open(dir, opts, registerTestIndexes)
 	if err != nil {
 		t.Fatal(err)
