@@ -49,8 +49,9 @@ test:
 # View-vs-txn read-path comparison over every Interactive query
 # (allocation counts matter: the view path's adjacency iteration must
 # report 0 allocs/op), plus the view-maintenance split: BenchmarkViewRefresh
-# (delta refresh after 1 and 16 commits, ring overflow) against
-# BenchmarkViewRebuild (full recompaction). The run emits
+# (delta refresh after 1 and 16 commits, ring overflow) and
+# BenchmarkViewFold (fold vs rescan of a 5,000-update window at 1000
+# persons) against BenchmarkViewRebuild (full rescan). The run emits
 # BENCH_interactive.json — ns/op and allocs/op per query per read path and
 # per maintenance case — so the perf trajectory is tracked across PRs.
 # Two steps (not a pipeline) so a benchmark failure fails the target
@@ -148,13 +149,14 @@ bench-query:
 # One short iteration of every query benchmark on every path (Interactive
 # txn/view plus the BI serial/parallel sweep, the recovery comparison,
 # the memory-footprint sweep at its first two scales, the
-# declarative-vs-hand query-layer comparison and parameter curation at
-# 1000 persons): dispatch-layer regressions (a query losing a path, a
-# signature drift) fail fast here without paying for a full measurement
-# run. SNB_SMOKE_FULL additionally
+# declarative-vs-hand query-layer comparison, parameter curation at
+# 1000 persons and view maintenance — rescan, refresh, and a fold of a
+# 5,000-update window at 1000 persons): dispatch-layer regressions (a
+# query losing a path, a signature drift, a fold that no longer folds)
+# fail fast here without paying for a full measurement run. SNB_SMOKE_FULL additionally
 # runs the 1000-person recovered-store workload-equivalence sweep, proving
 # the compact checkpoint format at a scale where the dictionary and varint
 # sections carry real weight.
 bench-smoke:
-	$(GO) test ./internal/bench/ -run xxx -bench 'BenchmarkViewVsTxn|BenchmarkBISerialVsParallel|BenchmarkRecovery|BenchmarkMemory/sf=(250|1000)p|BenchmarkWrite/sync=commit/writers=2$$|BenchmarkQueryDeclVsHand|BenchmarkPreparePools' -benchtime 1x -benchmem
+	$(GO) test ./internal/bench/ -run xxx -bench 'BenchmarkViewVsTxn|BenchmarkBISerialVsParallel|BenchmarkRecovery|BenchmarkMemory/sf=(250|1000)p|BenchmarkWrite/sync=commit/writers=2$$|BenchmarkQueryDeclVsHand|BenchmarkPreparePools|BenchmarkViewRebuild|BenchmarkViewRefresh|BenchmarkViewFold' -benchtime 1x -benchmem
 	SNB_SMOKE_FULL=1 $(GO) test ./internal/bench/ -run 'TestRecoveredStoreServesWorkload' -count=1

@@ -14,7 +14,7 @@
 // counters (delta refreshes, rebuilds, era bumps, ring overflows), so the
 // residual rebuild tax is observable from the CLI;
 // -view-compact-threshold tunes how much copy-on-write overlay a refreshed
-// view chain may accumulate before recompacting.
+// view chain may accumulate before folding it into a flat view.
 //
 // The optional BI analyst lane (-bi) runs the eight graph-wide BI queries
 // (bi.Registry) alongside the Interactive mix with their own latency
@@ -165,7 +165,7 @@ func main() {
 	biRounds := flag.Int("bi-rounds", 1, "passes each BI client makes over the eight templates")
 	compactThreshold := flag.Int("view-compact-threshold", -1,
 		"view-maintenance compaction threshold: max copy-on-write overlay entries a refreshed view chain "+
-			"may accumulate before the next advance recompacts (0 = recompact on every advance, "+
+			"may accumulate before the next advance folds it into a flat view (0 = rescan the store on every advance, "+
 			"-1 = store default)")
 	dataDir := flag.String("data-dir", "",
 		"durable mode: open or recover a data directory (segmented WAL + checkpoints); empty = in-memory run")
@@ -367,8 +367,8 @@ func main() {
 			rep.ViewRefresh.Mean(), rep.ViewRefresh.Count,
 			rep.ViewRebuild.Mean(), rep.ViewRebuild.Count)
 		vs := env.Store.ViewStats()
-		fmt.Printf("view maintenance: %d delta refreshes, %d rebuilds, %d era bumps, %d ring overflows\n",
-			vs.Refreshes, vs.Rebuilds, vs.EraBumps, vs.Overflows)
+		fmt.Printf("view maintenance: %d delta refreshes, %d folds, %d rebuilds, %d era bumps, %d ring overflows\n",
+			vs.Refreshes, vs.Folds, vs.Rebuilds, vs.EraBumps, vs.Overflows)
 	}
 	if rep.Commit.Count > 0 {
 		fmt.Printf("write lane: %d commits, latency mean %v p95 %v max %v\n",

@@ -6,6 +6,7 @@ import (
 
 	"ldbcsnb/internal/datagen"
 	"ldbcsnb/internal/ids"
+	"ldbcsnb/internal/schema"
 	"ldbcsnb/internal/store"
 	"ldbcsnb/internal/workload"
 )
@@ -279,9 +280,10 @@ func BenchmarkViewVsTxnShortWalk(b *testing.B) {
 }
 
 // BenchmarkViewRebuild measures the cost the view path pays for a full
-// recompaction: one from-scratch CSR compaction of the bench environment.
-// With delta maintenance this is no longer the per-commit tax — it is the
-// era-bump cost BenchmarkViewRefresh amortises away.
+// rescan: one from-scratch CSR compaction of the bench environment. With
+// delta maintenance this is no longer the per-commit tax — refreshes
+// (BenchmarkViewRefresh) and folds (BenchmarkViewFold) advance the view
+// without it; only the first view and ring gaps pay it.
 func BenchmarkViewRebuild(b *testing.B) {
 	env := testEnv(b)
 	ts := env.Store.LastCommit()
@@ -289,6 +291,74 @@ func BenchmarkViewRebuild(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		env.Store.ViewAt(ts)
 	}
+}
+
+// BenchmarkViewFold measures one view advance over a 5,000-update window
+// of the real update stream at 1000 persons (data seed 1) — the window the
+// §4 replay lands between two reads of its 100 ms view-path reader:
+//
+//   - fold: the default maintenance path; the window's cost crosses the
+//     compaction threshold, so the cached view and the window's deltas are
+//     folded into a new flat view without reading the store;
+//   - rescan: the same advance with refreshing disabled
+//     (SetViewCompactThreshold(0)), i.e. a full rebuild from the shards.
+//
+// Each iteration applies the next window (untimed) and times the
+// AcquireView that absorbs it; the store is reloaded (untimed) when the
+// stream runs out. Run with -benchmem.
+func BenchmarkViewFold(b *testing.B) {
+	foldFixture.once.Do(func() { foldFixture.data = NewEnvData(foldPersons, 1) })
+	run := func(rescan bool, want store.ViewEvent) func(b *testing.B) {
+		return func(b *testing.B) {
+			var st *store.Store
+			next := 0
+			load := func() {
+				env := *foldFixture.data
+				st = store.New()
+				schema.RegisterIndexes(st)
+				if err := env.LoadInto(st); err != nil {
+					b.Fatal(err)
+				}
+				if rescan {
+					st.SetViewCompactThreshold(0)
+				}
+				st.CurrentView()
+				next = 0
+			}
+			updates := foldFixture.data.Updates
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				if st == nil || next+foldWindow > len(updates) {
+					load()
+				}
+				for j := next; j < next+foldWindow; j++ {
+					if err := workload.ApplyUpdate(st, &updates[j]); err != nil {
+						b.Fatalf("update %d: %v", j, err)
+					}
+				}
+				next += foldWindow
+				b.StartTimer()
+				if _, ev := st.AcquireView(); ev != want {
+					b.Fatalf("view advance: %v, want %v", ev, want)
+				}
+			}
+		}
+	}
+	b.Run("fold", run(false, store.ViewFolded))
+	b.Run("rescan", run(true, store.ViewRebuilt))
+}
+
+// foldPersons and foldWindow size BenchmarkViewFold.
+const (
+	foldPersons = 1000
+	foldWindow  = 5000
+)
+
+var foldFixture struct {
+	once sync.Once
+	data *Env
 }
 
 // refreshEnv is a private environment for the view-maintenance benchmarks:
@@ -336,13 +406,14 @@ func refreshCommit(tb testing.TB, env *Env, anchor ids.ID) {
 // maintenance path, where BenchmarkViewRebuild is what it paid before.
 //
 //   - 1commit / 16commits: CurrentView applies the pending delta(s)
-//     copy-on-write. The mean includes the periodic compactions the
-//     threshold forces (the amortised steady state), so it is an upper
-//     bound on the pure refresh cost.
+//     copy-on-write. The mean includes the periodic folds the threshold
+//     forces (the amortised steady state), so it is an upper bound on the
+//     pure refresh cost.
 //   - overflow: the delta ring is too small for the burst, so CurrentView
-//     must recompact — the degenerate case, equal to a full rebuild (of
-//     the refresh env as grown by the earlier sub-benchmarks' commits, so
+//     must rescan — the degenerate case, equal to a full rebuild (of the
+//     refresh env as grown by the earlier sub-benchmarks' commits, so
 //     compare against BenchmarkViewRebuild only by order of magnitude).
+//     The ring's previous bound is restored afterwards.
 func BenchmarkViewRefresh(b *testing.B) {
 	run := func(commits int) func(b *testing.B) {
 		return func(b *testing.B) {
@@ -366,8 +437,8 @@ func BenchmarkViewRefresh(b *testing.B) {
 	b.Run("overflow", func(b *testing.B) {
 		env := refreshBenchEnv(b)
 		anchor := benchPerson(b, env)
-		env.Store.SetViewDeltaCap(1)
-		defer env.Store.SetViewDeltaCap(1024)
+		prev := env.Store.SetViewDeltaCap(1)
+		defer env.Store.SetViewDeltaCap(prev)
 		env.Store.CurrentView()
 		b.ReportAllocs()
 		b.ResetTimer()

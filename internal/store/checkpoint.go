@@ -31,8 +31,8 @@ import (
 //
 // The writer walks a SnapshotView, never the live shards: the view is
 // immutable after construction (CSR slabs plus copy-on-write overlays), so
-// serialisation runs concurrently with commits, GC and view compaction
-// without any stop-the-world on the write path. An era bump mid-checkpoint
+// serialisation runs concurrently with commits, GC and view folds and
+// rescans without any stop-the-world on the write path. An era bump mid-checkpoint
 // is harmless — the held view stays frozen regardless of what the cached
 // view does — and GC is harmless for the same reason views are GC-immune
 // (see gc.go: a view never reads the store after construction).
@@ -211,8 +211,8 @@ func encodeCheckpoint(w io.Writer, v *SnapshotView, s *Store) error {
 	buf = appendU16(buf, 0)
 	buf = appendU64(buf, uint64(v.Timestamp()))
 
-	// Nodes, ascending by ID for determinism (base ordinals are ID-sorted;
-	// overlay-appended ordinals are not, so re-sort the union).
+	// Nodes, ascending by ID for determinism: ordinals are ID-sorted only
+	// up to the nodes appended since the last rescan, so sort the IDs.
 	nodeIDs := make([]ids.ID, 0, v.NumNodes())
 	nodeIDs = append(nodeIDs, v.base.nodes...)
 	nodeIDs = append(nodeIDs, v.nodesOver...)

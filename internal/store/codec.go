@@ -41,29 +41,67 @@ func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 // ID to its view ordinal; ok=false (with dst unchanged) means some
 // neighbour had no ordinal and the caller must keep the row uncompressed —
 // defensive only, every edge endpoint of a consistent view is visible and
-// ordinal-mapped.
-func appendAdjRow(dst []byte, row []Edge, ord map[ids.ID]int32) ([]byte, bool) {
+// ordinal-mapped. end is the coding state after the row's last entry.
+func appendAdjRow(dst []byte, row []Edge, ord ordMap) (_ []byte, end rowEnd, ok bool) {
 	mark := len(dst)
 	dst = binary.AppendUvarint(dst, uint64(len(row)))
-	prevOrd, prevStamp := int64(0), int64(0)
-	for _, e := range row {
-		o, ok := ord[e.To]
-		if !ok {
-			return dst[:mark], false
-		}
-		dst = binary.AppendUvarint(dst, zigzag(int64(o)-prevOrd))
-		dst = binary.AppendUvarint(dst, zigzag(e.Stamp-prevStamp))
-		prevOrd, prevStamp = int64(o), e.Stamp
+	dst, end, ok = appendAdjEntries(dst, row, ord, rowEnd{})
+	if !ok {
+		return dst[:mark], rowEnd{}, false
 	}
-	return dst, true
+	return dst, end, true
+}
+
+// rowEnd is the delta-coding state after a row's last entry: that entry's
+// ordinal and stamp (zero for an empty row).
+type rowEnd struct{ ord, stamp int64 }
+
+// appendAdjEntries encodes row's entries (no count prefix) onto dst,
+// delta-coding the first one against from: the zero rowEnd for a row of
+// its own, an existing row's end to extend that row in place of
+// re-encoding it. ok=false leaves dst partially written; the caller
+// truncates back to its own mark.
+func appendAdjEntries(dst []byte, row []Edge, ord ordMap, from rowEnd) ([]byte, rowEnd, bool) {
+	prev := from
+	for _, e := range row {
+		o, ok := ord.get(e.To)
+		if !ok {
+			return dst, rowEnd{}, false
+		}
+		dst = binary.AppendUvarint(dst, zigzag(int64(o)-prev.ord))
+		dst = binary.AppendUvarint(dst, zigzag(e.Stamp-prev.stamp))
+		prev = rowEnd{int64(o), e.Stamp}
+	}
+	return dst, prev, true
+}
+
+// rowHead splits one encoded row into its entry count and entry bytes.
+func rowHead(b []byte) (count int, entries []byte) {
+	if len(b) == 0 {
+		return 0, nil
+	}
+	c, n := binary.Uvarint(b)
+	return int(c), b[n:]
+}
+
+// walkEnd walks count encoded entries (without materialising them) for
+// the row's end — what appendAdjEntries needs to extend the row.
+func walkEnd(entries []byte, count int) rowEnd {
+	var end rowEnd
+	for j := 0; j < count; j++ {
+		entries, end.ord, end.stamp = decodeEntry(entries, end.ord, end.stamp)
+	}
+	return end
 }
 
 // csr is one compact compressed-sparse-row adjacency of a viewBase: the
 // encoded rows of every ordinal in [lo, lo+rows), back to back in data,
 // delimited by the per-row byte-offset index. offsets is trimmed to the
-// ordinal range that has any edge of this type/direction — ID-sorted
-// ordinals group nodes by kind, so e.g. the knows CSR only carries offsets
-// across the Person range instead of 4 bytes for every node in the view.
+// ordinal range that has any edge of this type/direction — a rescan
+// assigns ordinals in ID order, which groups nodes by kind, so e.g. the
+// knows CSR only carries offsets across the Person range instead of 4
+// bytes for every node in the view (nodes a fold appends extend the range
+// to their ordinals at the end).
 type csr struct {
 	lo      int32    // first ordinal covered by offsets
 	offsets []uint32 // byte offsets into data; row i of ordinal lo+i is data[offsets[i]:offsets[i+1]]

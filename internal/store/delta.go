@@ -12,19 +12,23 @@ import (
 // the nodes it created, the property lists it replaced, and the adjacency
 // entries it inserted or tombstoned — to a bounded in-memory ring alongside
 // the WAL append. When CurrentView finds the cached view behind the commit
-// watermark it applies the pending deltas copy-on-write onto the cached
-// view (see applyDeltas) instead of recompacting the whole dataset: cost
-// proportional to the delta plus the overlay accumulated this era, not to
-// the number of visible nodes and edges.
+// watermark it advances the cached view from the pending deltas instead of
+// rescanning the store, in one of two ways:
 //
-// Two conditions force a full rebuild (a new era, ordinals reassigned):
+//   - refresh (applyDeltas): the deltas are applied copy-on-write as an
+//     overlay on the cached view's viewBase — cost proportional to the
+//     delta plus the overlay accumulated since the last compaction;
+//   - fold (fold.go): once the overlay would cross the compaction threshold
+//     (SetViewCompactThreshold), the cached view and the deltas are
+//     compacted into a new flat viewBase without reading the MVCC shards.
+//     Unbounded overlays would slowly tax every read with overlay-map
+//     lookups; a fold flattens them while keeping every existing ordinal
+//     and the era.
 //
-//   - the ring overflowed (more than the ring capacity of commits landed
-//     since the last view advance), so the delta chain has a gap;
-//   - the accumulated overlay size would cross the compaction threshold
-//     (SetViewCompactThreshold) — unbounded overlays would slowly tax every
-//     read with overlay-map lookups, so the view periodically recompacts
-//     back into flat CSR form.
+// Only a gap in the ring — more pending delta cost than its bound, so the
+// chain back to the cached view is broken — a window too large to fold,
+// or threshold n <= 0 forces a rescan of the store (buildView), which
+// reassigns ordinals and starts a new era.
 //
 // Commit timestamps are consecutive integers (Commit assigns clock+1 under
 // commitMu), which makes ring continuity a pure index computation.
@@ -83,51 +87,66 @@ func (d *CommitDelta) cost() int {
 	return len(d.nodes) + len(d.props) + len(d.edges) + len(d.dels)
 }
 
-// Default view-maintenance knobs; see the Set* methods on Store. The ring
-// must absorb the commit burst a mixed run lands between two read
-// acquisitions, and the threshold caps the overlay a refresh chain drags
+// View-maintenance bounds; see the Set* methods on Store. The ring must
+// absorb what lands between two view advances, so its bound is on pending
+// delta cost and scales with the cached view: it overflows once the pending
+// cost exceeds 1/viewDeltaShare of the view's stored adjacency entries, and
+// never below minViewDeltaCost. A fold costs a copy of the view, so that
+// share keeps the memory the ring holds while nobody reads at a fraction of
+// the view itself. The threshold caps the overlay a refresh chain drags
 // along (every refresh clones the live overlay, and overlay rows cost an
-// extra map probe on reads), so both trade refresh reach against per-
-// refresh and per-read cost.
+// extra map probe on reads) before a fold flattens it.
 const (
-	defaultViewDeltaCap         = 4096
+	minViewDeltaCost            = 4096
+	viewDeltaShare              = 8
 	defaultViewCompactThreshold = 4096
 )
 
 // SetViewCompactThreshold bounds the overlay a refreshed view chain may
-// accumulate before CurrentView recompacts (full rebuild, era bump).
-// Higher values favour cheap refreshes under sustained updates at the cost
-// of overlay-map lookups on reads of touched rows; n <= 0 disables
-// refreshing entirely (every view advance recompacts — mainly for tests and
-// ablations).
+// accumulate before CurrentView folds it into a flat view. Higher values
+// favour cheap refreshes under sustained updates at the cost of
+// overlay-map lookups on reads of touched rows; n <= 0 disables refreshing
+// and folding entirely (every view advance rescans the store and starts a
+// new era — the ablation baseline and a test hook).
 func (s *Store) SetViewCompactThreshold(n int) {
 	s.viewMu.Lock()
 	s.compactThreshold = n
 	s.viewMu.Unlock()
 }
 
-// SetViewDeltaCap bounds the delta ring: if more than n commits accumulate
-// between view advances the ring overflows and the next advance rebuilds.
-func (s *Store) SetViewDeltaCap(n int) {
-	if n < 1 {
-		n = 1
+// SetViewDeltaCap overrides the delta ring's bound: once the pending
+// deltas' cost (nodes, property lists and adjacency entries they touch)
+// would exceed n while no view advance runs, the ring overflows and the
+// next advance rescans the store. n <= 0 restores the default bound, scaled to the cached view. It
+// returns the previous override (0 for the default) so callers can restore
+// it.
+func (s *Store) SetViewDeltaCap(n int) (prev int) {
+	if n < 0 {
+		n = 0
 	}
 	s.deltaMu.Lock()
-	s.deltaCap = n
+	prev, s.deltaCap = s.deltaCap, n
 	s.deltaMu.Unlock()
+	return prev
 }
 
 // ViewStatsSnapshot reports the store's view-maintenance counters.
 type ViewStatsSnapshot struct {
-	// Refreshes counts CurrentView advances served by applying deltas.
+	// Refreshes counts CurrentView advances served by applying deltas as a
+	// copy-on-write overlay.
 	Refreshes int64
-	// Rebuilds counts full compactions by CurrentView (including the first
-	// build; ViewAt calls are not counted).
+	// Folds counts CurrentView advances that compacted the cached view and
+	// the pending deltas into a new flat view, keeping ordinals and era.
+	Folds int64
+	// Rebuilds counts rescans of the store by CurrentView (including the
+	// first build; ViewAt calls are not counted).
 	Rebuilds int64
 	// EraBumps counts rebuilds that replaced an existing cached view, i.e.
-	// recompactions that invalidated ordinal-keyed caller state.
+	// rescans that invalidated ordinal-keyed caller state.
 	EraBumps int64
-	// Overflows counts deltas dropped because the ring was full.
+	// Overflows counts the times the ring was full and dropped the deltas
+	// a cached view still needed (a bulk load before the first view drops
+	// deltas uncounted).
 	Overflows int64
 }
 
@@ -136,6 +155,7 @@ type ViewStatsSnapshot struct {
 func (s *Store) ViewStats() ViewStatsSnapshot {
 	return ViewStatsSnapshot{
 		Refreshes: s.viewRefreshes.Load(),
+		Folds:     s.viewFolds.Load(),
 		Rebuilds:  s.viewRebuilds.Load(),
 		EraBumps:  s.viewEraBumps.Load(),
 		Overflows: s.viewOverflows.Load(),
@@ -146,8 +166,9 @@ func (s *Store) ViewStats() ViewStatsSnapshot {
 // before the commit clock advances, so by the time a refresh observes a
 // watermark every delta up to it is in the ring.
 func (s *Store) recordDelta(d *CommitDelta) {
+	c := d.cost()
 	s.deltaMu.Lock()
-	if len(s.deltas) >= s.deltaCap {
+	if len(s.deltas) > 0 && !s.deltaHeld && s.deltaCost+c > s.ringBoundLocked() {
 		// Ring full: the chain up to the cached view is broken either way,
 		// so drop everything pending and let the next advance rebuild.
 		// Dropping must abandon the backing array (not re-slice to [:0]):
@@ -155,11 +176,26 @@ func (s *Store) recordDelta(d *CommitDelta) {
 		// by pendingLocked, and reusing the slots would hand it foreign
 		// deltas mid-application.
 		s.deltas = nil
+		s.deltaCost = 0
 		s.deltaDropped = true
-		s.viewOverflows.Add(1)
+		if s.view.Load() != nil { // before the first view nothing is lost
+			s.viewOverflows.Add(1)
+		}
 	}
 	s.deltas = append(s.deltas, d)
+	s.deltaCost += c
 	s.deltaMu.Unlock()
+}
+
+// ringBoundLocked is the pending-cost bound the ring overflows at: the
+// SetViewDeltaCap override, or the bound scaled to the cached view.
+//
+//snb:locked deltaMu
+func (s *Store) ringBoundLocked() int {
+	if s.deltaCap > 0 {
+		return s.deltaCap
+	}
+	return s.deltaBound
 }
 
 // pendingLocked returns the consecutive deltas covering (after, upto], or
@@ -187,68 +223,101 @@ func (s *Store) pendingLocked(after, upto int64) ([]*CommitDelta, bool) {
 	return s.deltas[lo : hi+1], true
 }
 
-// trimDeltas drops deltas already folded into the cached view (ts and
-// older).
-func (s *Store) trimDeltas(ts int64) {
-	s.deltaMu.Lock()
+// dropDeltasLocked drops the deltas up to ts from the ring: a view
+// advance to ts has taken them over. rearm (a rescan) also re-arms an
+// overflowed ring.
+//
+//snb:locked deltaMu
+func (s *Store) dropDeltasLocked(ts int64, rearm bool) {
 	i := 0
 	for i < len(s.deltas) && s.deltas[i].ts <= ts {
+		s.deltaCost -= s.deltas[i].cost()
 		i++
 	}
-	if i == len(s.deltas) {
+	switch {
+	case i == len(s.deltas):
 		s.deltas = nil // release the backing array between bursts
-	} else {
+	case rearm:
+		// Copy out: a rebuild re-arms a ring that may have overflowed, whose
+		// backing array is still held by stale pendingLocked subslices.
+		s.deltas = append([]*CommitDelta(nil), s.deltas[i:]...)
+	default:
 		s.deltas = s.deltas[i:]
 	}
-	s.deltaMu.Unlock()
+	if rearm {
+		s.deltaDropped = false
+	}
 }
 
-// resetDeltas re-arms the ring after a full rebuild at ts: everything the
-// rebuild folded in is dropped and the overflow marker cleared. The
-// appliedCost reset belongs to the maintenance path, so the caller (the
-// rebuild branch of AcquireView/CurrentView) holds viewMu.
-//
-//snb:locked viewMu
-func (s *Store) resetDeltas(ts int64) {
+// holdRing marks a view advance as running (on) or finished (off); while
+// one runs, the ring does not overflow.
+func (s *Store) holdRing(on bool) {
 	s.deltaMu.Lock()
-	i := 0
-	for i < len(s.deltas) && s.deltas[i].ts <= ts {
-		i++
-	}
-	if i == len(s.deltas) {
-		s.deltas = nil
-	} else {
-		s.deltas = append([]*CommitDelta(nil), s.deltas[i:]...)
-	}
-	s.deltaDropped = false
-	s.appliedCost = 0
+	s.deltaHeld = on
 	s.deltaMu.Unlock()
 }
 
-// refreshView derives a view at ts from the cached view by applying the
-// pending deltas, or reports ok=false when the caller must rebuild (ring
-// gap, or the accumulated overlay would cross the compaction threshold).
-// Called under viewMu.
+// ringOverBound reports whether the pending deltas' cost exceeds the
+// ring's bound — possible only while a view advance holds the ring.
+func (s *Store) ringOverBound() bool {
+	s.deltaMu.Lock()
+	defer s.deltaMu.Unlock()
+	return s.deltaCost > s.ringBoundLocked()
+}
+
+// scaleRing sets the ring's default bound from v, a new cached view with
+// its own viewBase (a refresh keeps its predecessor's base and bound).
+func (s *Store) scaleRing(v *SnapshotView) {
+	bound := max(v.base.entries/viewDeltaShare, minViewDeltaCost)
+	s.deltaMu.Lock()
+	s.deltaBound = bound
+	s.deltaMu.Unlock()
+}
+
+// advanceView derives a view at ts from the cached view old out of the
+// pending deltas — a refresh while the overlay stays within the compaction
+// threshold, a fold once it would cross it — or reports ok=false when the
+// caller must rescan (ring gap, a window too large to fold, or threshold
+// n <= 0).
 //
 //snb:locked viewMu
-func (s *Store) refreshView(old *SnapshotView, ts int64) (*SnapshotView, bool) {
+func (s *Store) advanceView(old *SnapshotView, ts int64) (*SnapshotView, ViewEvent, bool) {
+	if s.compactThreshold <= 0 {
+		return nil, ViewRebuilt, false
+	}
 	s.deltaMu.Lock()
 	ds, ok := s.pendingLocked(old.ts, ts)
+	if ok {
+		// The advance takes the window over. Dropping it from the ring now
+		// leaves the ring's whole bound to the commits that land while the
+		// advance runs; ds stays valid (see pendingLocked).
+		s.dropDeltasLocked(ts, false)
+	}
 	s.deltaMu.Unlock()
 	if !ok {
-		return nil, false
+		return nil, ViewRebuilt, false
 	}
 	cost := 0
 	for _, d := range ds {
 		cost += d.cost()
 	}
-	if s.compactThreshold <= 0 || s.appliedCost+cost > s.compactThreshold {
-		return nil, false
+	if cost+len(old.edgeOver) > maxFoldOps {
+		return nil, ViewRebuilt, false
 	}
-	nv := applyDeltas(old, ds, ts)
-	s.appliedCost += cost
-	s.trimDeltas(ts)
-	return nv, true
+	var nv *SnapshotView
+	ev := ViewRefreshed
+	if s.appliedCost+cost <= s.compactThreshold {
+		nv = applyDeltas(old, ds, ts)
+		s.appliedCost += cost
+		s.viewRefreshes.Add(1)
+	} else {
+		nv = foldView(old, ds, ts)
+		s.appliedCost = 0
+		s.viewFolds.Add(1)
+		s.scaleRing(nv)
+		ev = ViewFolded
+	}
+	return nv, ev, true
 }
 
 // applyDeltas derives a new view from old by applying consecutive commit
@@ -257,17 +326,8 @@ func (s *Store) refreshView(old *SnapshotView, ts int64) (*SnapshotView, bool) {
 // rows touched by the deltas are copied and rewritten, so old — and every
 // earlier view of the chain — stays frozen for concurrent readers.
 func applyDeltas(old *SnapshotView, ds []*CommitDelta, ts int64) *SnapshotView {
-	nv := &SnapshotView{
-		ts:        ts,
-		era:       old.era,
-		base:      old.base,
-		nodesOver: append([]ids.ID(nil), old.nodesOver...),
-		ordOver:   maps.Clone(old.ordOver),
-		propsOver: maps.Clone(old.propsOver),
-		edgeOver:  maps.Clone(old.edgeOver),
-		byKind:    maps.Clone(old.byKind), // never nil: buildView always allocates it
-	}
-	n0 := int32(len(nv.base.nodes))
+	nv := old.derive(ts)
+	nv.edgeOver = maps.Clone(old.edgeOver)
 
 	// owned marks overlay rows copied by THIS application; only owned rows
 	// may be mutated in place (rows inherited from old's overlay are shared
@@ -306,37 +366,7 @@ func applyDeltas(old *SnapshotView, ds []*CommitDelta, ts int64) *SnapshotView {
 	}
 
 	for _, d := range ds {
-		for _, dn := range d.nodes {
-			if _, ok := nv.Ord(dn.id); ok {
-				continue // already visible (defensive; cannot happen for committed state)
-			}
-			ord := n0 + int32(len(nv.nodesOver))
-			nv.nodesOver = append(nv.nodesOver, dn.id)
-			if nv.ordOver == nil {
-				nv.ordOver = make(map[ids.ID]int32)
-			}
-			nv.ordOver[dn.id] = ord
-			if nv.propsOver == nil {
-				nv.propsOver = make(map[int32]Props)
-			}
-			// Every appended ordinal gets a props entry (possibly nil for
-			// bare endpoint records) — propsAt relies on it.
-			nv.propsOver[ord] = dn.props
-			if dn.inKindList {
-				k := dn.id.Kind()
-				nv.byKind[k] = append(nv.byKind[k], dn.id)
-			}
-		}
-		for _, dp := range d.props {
-			ord, ok := nv.Ord(dp.id)
-			if !ok {
-				continue
-			}
-			if nv.propsOver == nil {
-				nv.propsOver = make(map[int32]Props)
-			}
-			nv.propsOver[ord] = dp.props
-		}
+		nv.applyNodes(d)
 		for _, de := range d.edges {
 			ord, ok := nv.Ord(de.owner)
 			if !ok {
@@ -351,16 +381,72 @@ func applyDeltas(old *SnapshotView, ds []*CommitDelta, ts int64) *SnapshotView {
 				continue
 			}
 			key := ownRow(ord, dd.t, dd.in)
-			row := nv.edgeOver[key]
-			// Rows are insertion-ordered, so the last (peer, stamp) match is
-			// the newest — the entry Commit tombstoned.
-			for i := len(row) - 1; i >= 0; i-- {
-				if row[i].To == dd.peer && row[i].Stamp == dd.stamp {
-					nv.edgeOver[key] = append(row[:i], row[i+1:]...)
-					break
-				}
-			}
+			nv.edgeOver[key] = dropNewest(nv.edgeOver[key], dd)
 		}
 	}
 	return nv
+}
+
+// derive starts a view at ts on old's viewBase and era, with old's node,
+// property and kind overlays cloned for the caller to extend. The edge
+// overlay is left nil: applyDeltas clones it, a fold only reads old's.
+func (old *SnapshotView) derive(ts int64) *SnapshotView {
+	return &SnapshotView{
+		ts:        ts,
+		era:       old.era,
+		base:      old.base,
+		nodesOver: append([]ids.ID(nil), old.nodesOver...),
+		ordOver:   maps.Clone(old.ordOver),
+		propsOver: maps.Clone(old.propsOver),
+		byKind:    maps.Clone(old.byKind), // never nil: buildView always allocates it
+	}
+}
+
+// applyNodes applies one delta's node creations (appended ordinals, kind
+// lists) and property replacements onto a view from derive.
+func (nv *SnapshotView) applyNodes(d *CommitDelta) {
+	n0 := int32(len(nv.base.nodes))
+	for _, dn := range d.nodes {
+		if _, ok := nv.Ord(dn.id); ok {
+			continue // already visible (defensive; cannot happen for committed state)
+		}
+		ord := n0 + int32(len(nv.nodesOver))
+		nv.nodesOver = append(nv.nodesOver, dn.id)
+		if nv.ordOver == nil {
+			nv.ordOver = make(map[ids.ID]int32)
+		}
+		nv.ordOver[dn.id] = ord
+		if nv.propsOver == nil {
+			nv.propsOver = make(map[int32]Props)
+		}
+		// Every appended ordinal gets a props entry (possibly nil for
+		// bare endpoint records) — propsAt relies on it.
+		nv.propsOver[ord] = dn.props
+		if dn.inKindList {
+			k := dn.id.Kind()
+			nv.byKind[k] = append(nv.byKind[k], dn.id)
+		}
+	}
+	for _, dp := range d.props {
+		ord, ok := nv.Ord(dp.id)
+		if !ok {
+			continue
+		}
+		if nv.propsOver == nil {
+			nv.propsOver = make(map[int32]Props)
+		}
+		nv.propsOver[ord] = dp.props
+	}
+}
+
+// dropNewest removes the entry a tombstone names from an owned row. Rows
+// are insertion-ordered, so the last (peer, stamp) match is the newest —
+// the entry Commit tombstoned.
+func dropNewest(row []Edge, dd deltaDel) []Edge {
+	for i := len(row) - 1; i >= 0; i-- {
+		if row[i].To == dd.peer && row[i].Stamp == dd.stamp {
+			return append(row[:i], row[i+1:]...)
+		}
+	}
+	return row
 }

@@ -64,8 +64,9 @@ func assertViewMatchesRebuild(t *testing.T, v, ref *SnapshotView) {
 // refreshEquivalenceSweep grows a random graph one committed transaction at
 // a time and, after every commit, checks the delta-refreshed CurrentView
 // against both a full rebuild (ViewAt) and an MVCC transaction at the same
-// snapshot. The store's maintenance knobs are set by the caller so the
-// sweep can run refresh-heavy, era-bump-heavy, or overflow-heavy.
+// snapshot, and — while the era holds — that every node of the previous
+// view kept its ordinal. The store's maintenance knobs are set by the
+// caller so the sweep can run refresh-heavy, fold-heavy, or overflow-heavy.
 func refreshEquivalenceSweep(t *testing.T, seed uint64, steps int, tune func(*Store)) ViewStatsSnapshot {
 	t.Helper()
 	r := xrand.New(seed)
@@ -74,6 +75,7 @@ func refreshEquivalenceSweep(t *testing.T, seed uint64, steps int, tune func(*St
 		tune(s)
 	}
 	var pop []ids.ID
+	var prev *SnapshotView
 	for step := 1; step <= steps; step++ {
 		pop = randomGraphStep(t, s, r, pop, step)
 		v := s.CurrentView()
@@ -81,8 +83,72 @@ func refreshEquivalenceSweep(t *testing.T, seed uint64, steps int, tune func(*St
 		tx := s.Begin()
 		tx.readonly = true
 		assertViewMatchesTxn(t, s, v, tx, pop)
+		if prev != nil && prev.Era() == v.Era() {
+			assertOrdinalsKept(t, prev, v)
+		}
+		assertBaseInvariants(t, v.base)
+		prev = v
 	}
 	return s.ViewStats()
+}
+
+// assertBaseInvariants checks a viewBase's derived state against its
+// slabs: the ordinal map maps every node to its ordinal, every csr's
+// entry count matches its rows, and ends holds exactly the rows of at
+// least longRow entries, each with the coding state its entries end in.
+func assertBaseInvariants(t *testing.T, b *viewBase) {
+	t.Helper()
+	if b.ord.len() != len(b.nodes) {
+		t.Fatalf("ordinal map holds %d nodes, the base %d", b.ord.len(), len(b.nodes))
+	}
+	for o, id := range b.nodes {
+		if got, ok := b.ord.get(id); !ok || got != int32(o) {
+			t.Fatalf("ordinal map: %v -> %d, %v; want %d", id, got, ok, o)
+		}
+	}
+	long := 0
+	for et := EdgeType(1); et < edgeTypeMax; et++ {
+		for dir, c := range [2]*csr{&b.out[et], &b.in[et]} {
+			entries := 0
+			for i := 0; i+1 < len(c.offsets); i++ {
+				ord := c.lo + int32(i)
+				count, raw := rowHead(c.data[c.offsets[i]:c.offsets[i+1]])
+				entries += count
+				end, ok := b.ends[makeEdgeKey(ord, et, dir == 1)]
+				if count < longRow {
+					if ok {
+						t.Fatalf("ends holds a short row: ordinal %d %v dir %d (%d entries)", ord, et, dir, count)
+					}
+					continue
+				}
+				long++
+				if want := walkEnd(raw, count); !ok || end != want {
+					t.Fatalf("ends of ordinal %d %v dir %d: %v (%v), want %v", ord, et, dir, end, ok, want)
+				}
+			}
+			if entries != c.entries {
+				t.Fatalf("csr %v dir %d: %d entries counted, %d recorded", et, dir, entries, c.entries)
+			}
+		}
+	}
+	if long != len(b.ends) {
+		t.Fatalf("ends has %d rows, %d long rows exist", len(b.ends), long)
+	}
+}
+
+// assertOrdinalsKept checks the era contract between two views of one
+// era: every node of prev has the same ordinal in next.
+func assertOrdinalsKept(t *testing.T, prev, next *SnapshotView) {
+	t.Helper()
+	if prev.Era() != next.Era() {
+		t.Fatalf("era changed: %d -> %d", prev.Era(), next.Era())
+	}
+	for o := int32(0); o < int32(prev.NumNodes()); o++ {
+		id := prev.IDAt(o)
+		if o2, ok := next.Ord(id); !ok || o2 != o {
+			t.Fatalf("ordinal of %v moved within era %d: %d -> %d (ok=%v)", id, next.Era(), o, o2, ok)
+		}
+	}
 }
 
 // TestViewRefreshEquivalenceRandomised is the delta-vs-full equivalence
@@ -96,26 +162,43 @@ func TestViewRefreshEquivalenceRandomised(t *testing.T) {
 		if st.Refreshes == 0 {
 			t.Fatalf("sweep never exercised the refresh path: %+v", st)
 		}
-		if st.EraBumps != 0 {
-			t.Fatalf("sweep unexpectedly recompacted under the default threshold: %+v", st)
+		if st.EraBumps != 0 || st.Folds != 0 {
+			t.Fatalf("sweep unexpectedly compacted under the default threshold: %+v", st)
 		}
 	}
 }
 
-// TestViewRefreshEquivalenceAcrossEraBumps forces frequent recompactions
-// (a tiny compaction threshold) so the sweep crosses era bumps: refresh
-// chains, rebuilds and the transitions between them must all stay
-// equivalent.
-func TestViewRefreshEquivalenceAcrossEraBumps(t *testing.T) {
+// TestViewRefreshEquivalenceAcrossFolds forces frequent compactions (a
+// tiny compaction threshold) so the sweep crosses folds: refresh chains,
+// folds and the transitions between them must all stay equivalent, and a
+// fold keeps the era and every ordinal.
+func TestViewRefreshEquivalenceAcrossFolds(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		st := refreshEquivalenceSweep(t, seed, 30, func(s *Store) {
 			s.SetViewCompactThreshold(20)
 		})
-		if st.EraBumps == 0 {
-			t.Fatalf("sweep never bumped the era: %+v", st)
+		if st.Folds == 0 {
+			t.Fatalf("sweep never folded: %+v", st)
 		}
 		if st.Refreshes == 0 {
-			t.Fatalf("sweep never refreshed between bumps: %+v", st)
+			t.Fatalf("sweep never refreshed between folds: %+v", st)
+		}
+		if st.Rebuilds != 1 || st.EraBumps != 0 {
+			t.Fatalf("folds rescanned the store: %+v", st)
+		}
+	}
+}
+
+// TestViewFoldEquivalenceSweep is the fold-heavy sweep: with threshold 1
+// every view advance folds, so each step's view is a fold of a fold, and
+// must match a rescan and the Txn path after every commit.
+func TestViewFoldEquivalenceSweep(t *testing.T) {
+	for seed := uint64(1); seed <= 5; seed++ {
+		st := refreshEquivalenceSweep(t, seed, 40, func(s *Store) {
+			s.SetViewCompactThreshold(1)
+		})
+		if st.Folds < 39 || st.Refreshes != 0 || st.Rebuilds != 1 || st.EraBumps != 0 {
+			t.Fatalf("want a fold on every advance after the first build: %+v", st)
 		}
 	}
 }
@@ -180,7 +263,7 @@ func TestRingOverflowDoesNotAliasPendingDeltas(t *testing.T) {
 
 // TestViewRefreshOrdinalStability pins the era contract: a delta refresh
 // never reassigns an existing node's ordinal — new nodes get appended
-// ordinals — while a recompaction bumps the era and may reassign.
+// ordinals — while a rescan bumps the era and may reassign.
 func TestViewRefreshOrdinalStability(t *testing.T) {
 	s := New()
 	r := xrand.New(11)
@@ -211,19 +294,19 @@ func TestViewRefreshOrdinalStability(t *testing.T) {
 		}
 	}
 
-	// Force a recompaction: the era must bump and ordinals return to
-	// ascending ID order.
+	// Force a rescan: the era must bump and ordinals return to ascending
+	// ID order.
 	s.SetViewCompactThreshold(0)
 	pop = randomGraphStep(t, s, r, pop, 3)
 	v3 := s.CurrentView()
 	if v3.Era() == v2.Era() {
-		t.Fatal("forced recompaction kept the era")
+		t.Fatal("forced rescan kept the era")
 	}
 	var prev ids.ID
 	for o := int32(0); o < int32(v3.NumNodes()); o++ {
 		id := v3.IDAt(o)
 		if o > 0 && id <= prev {
-			t.Fatal("recompacted ordinals not in ascending ID order")
+			t.Fatal("rescanned ordinals not in ascending ID order")
 		}
 		prev = id
 	}
@@ -264,8 +347,8 @@ func TestViewRefreshCounters(t *testing.T) {
 		t.Fatalf("counters after sparse commit: %+v", st)
 	}
 
-	// Threshold 0 disables refreshing: the next advance must recompact and
-	// bump the era.
+	// Threshold 0 disables refreshing and folding: the next advance must
+	// rescan and bump the era.
 	s.SetViewCompactThreshold(0)
 	tx = s.Begin()
 	tx.SetProp(personID(800), PropFirstName, String("b"))
@@ -277,7 +360,7 @@ func TestViewRefreshCounters(t *testing.T) {
 	}
 	st = s.ViewStats()
 	if st.Rebuilds != 2 || st.EraBumps != 1 {
-		t.Fatalf("counters after forced recompaction: %+v", st)
+		t.Fatalf("counters after forced rescan: %+v", st)
 	}
 }
 

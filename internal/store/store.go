@@ -55,8 +55,8 @@ type Store struct {
 	aborts  atomic.Int64
 
 	// view caches the frozen snapshot at the current clock (see
-	// CurrentView); viewMu serialises maintenance (delta refreshes and
-	// rebuilds), never reads.
+	// CurrentView); viewMu serialises maintenance (delta refreshes, folds
+	// and rebuilds), never reads.
 	view   atomic.Pointer[SnapshotView]
 	viewMu sync.Mutex
 
@@ -64,14 +64,18 @@ type Store struct {
 	// deltas plus the refresh accounting.
 	deltaMu      sync.Mutex
 	deltas       []*CommitDelta // guarded by deltaMu; pending commit deltas, consecutive ts
+	deltaCost    int            // guarded by deltaMu; summed cost of deltas
 	deltaDropped bool           // guarded by deltaMu; ring overflowed since the last rebuild
-	deltaCap     int            // guarded by deltaMu
-	// Only the maintenance path (refresh/rebuild) touches the next two.
+	deltaCap     int            // guarded by deltaMu; SetViewDeltaCap override, 0 for deltaBound
+	deltaBound   int            // guarded by deltaMu; pending-cost bound scaled to the cached view
+	deltaHeld    bool           // guarded by deltaMu; a view advance is running, so the ring does not overflow
+	// Only the maintenance path (refresh/fold/rebuild) touches the next two.
 	compactThreshold int // guarded by viewMu
-	appliedCost      int // guarded by viewMu; overlay entries accumulated in the cached era
+	appliedCost      int // guarded by viewMu; overlay entries accumulated since the last fold or rebuild
 
 	viewEra       atomic.Uint64
 	viewRefreshes atomic.Int64
+	viewFolds     atomic.Int64
 	viewRebuilds  atomic.Int64
 	viewEraBumps  atomic.Int64
 	viewOverflows atomic.Int64
@@ -96,7 +100,7 @@ type Store struct {
 func New() *Store {
 	s := &Store{
 		byKind:           make(map[ids.Kind][]ids.ID),
-		deltaCap:         defaultViewDeltaCap,
+		deltaBound:       minViewDeltaCost,
 		compactThreshold: defaultViewCompactThreshold,
 	}
 	for i := range s.shards {

@@ -50,11 +50,13 @@
 // the touched CSR rows, property entries and kind lists are copied
 // (delta.go). New nodes receive appended ordinals, so existing ordinals
 // stay stable within an era (SnapshotView.Era) and ordinal-keyed caller
-// state survives refreshes. A full recompaction — sorted IDs, dense
-// reassigned ordinals, a fresh era — runs only when the accumulated
-// overlay crosses the compaction threshold (SetViewCompactThreshold) or
+// state survives refreshes. Once the accumulated overlay would cross the
+// compaction threshold (SetViewCompactThreshold), the advance folds the
+// view and the deltas into a new flat view without reading the store
+// (fold.go), keeping ordinals and era. A rescan — sorted IDs, dense
+// reassigned ordinals, a fresh era — runs only for the first view or when
 // the delta ring overflows (SetViewDeltaCap); ViewStats counts refreshes,
-// rebuilds, era bumps and overflows.
+// folds, rebuilds, era bumps and overflows.
 package store
 
 import (

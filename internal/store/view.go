@@ -27,7 +27,7 @@ import (
 //
 // # Incremental maintenance, eras and ordinal stability
 //
-// Views advance in two ways (see CurrentView):
+// Views advance in three ways (see CurrentView):
 //
 //   - Delta refresh: a new view is derived from the cached one by applying
 //     the commit deltas of the intervening transactions (internal/store
@@ -36,14 +36,20 @@ import (
 //     into plain []Edge overlay rows on first touch), property entries and
 //     kind lists; new nodes receive ordinals appended after the existing
 //     ones. Cost is proportional to the delta, not the dataset.
-//   - Full rebuild (compaction): the whole visible state is recompacted
-//     into a fresh viewBase — node IDs sorted, ordinals reassigned densely,
-//     adjacency re-encoded — and the view's era counter is bumped.
+//   - Fold: once the overlay would cross the compaction threshold, the
+//     cached view and the pending deltas are compacted into a fresh flat
+//     viewBase (fold.go) without reading the store: existing ordinals are
+//     kept, new nodes appended, and the era stays.
+//   - Rescan (rebuild): the whole visible state is read out of the MVCC
+//     shards into a fresh viewBase — node IDs sorted, ordinals assigned
+//     densely, adjacency encoded — and the view's era counter is bumped.
+//     Only the first build, a gap in the delta ring and the "always
+//     rescan" setting (SetViewCompactThreshold(n <= 0)) take this path.
 //
 // Ordinals are dense indices 0..NumNodes()-1. Within one era they are
-// stable: a delta refresh never reassigns an existing node's ordinal, it
-// only appends new ones, so per-node scratch state keyed by ordinals (see
-// internal/bitset and workload.Scratch) stays meaningful across refreshes.
+// stable: refreshes and folds never reassign an existing node's ordinal,
+// they only append new ones, so per-node scratch state keyed by ordinals
+// (see internal/bitset and workload.Scratch) stays meaningful across them.
 // Across eras ordinals are reassigned (ascending ID order again) and any
 // ordinal-keyed state must be discarded; Era() is the caller's signal.
 // Ordinals are only comparable between two views of the same era.
@@ -53,7 +59,7 @@ import (
 //
 // Immutability is also what makes a view the checkpointing unit: the
 // durable checkpointer (checkpoint.go) serialises a SnapshotView to disk
-// while commits, GC and even a compaction era bump proceed concurrently —
+// while commits, GC and even a rescan's era bump proceed concurrently —
 // the held view stays frozen no matter what the cached view does, so
 // checkpoints never stop the write path.
 type SnapshotView struct {
@@ -61,7 +67,7 @@ type SnapshotView struct {
 	era  uint64
 	base *viewBase
 
-	// Copy-on-write overlays, all nil/empty on a freshly compacted view.
+	// Copy-on-write overlays, all nil/empty on a rescanned or folded view.
 	// A refreshed view clones its predecessor's overlay maps (cost bounded
 	// by the compaction threshold) and rewrites only the touched entries,
 	// so predecessor views stay frozen.
@@ -81,22 +87,27 @@ type SnapshotView struct {
 	cancel *cancelHook
 }
 
-// viewBase is the compacted, era-shared bulk of one or more snapshot views:
-// the encoded CSR slabs, the dense property slab and the ordinal mapping of
-// every node visible when the era was compacted. It is immutable after
-// buildView returns; delta refreshes layer overlays on top without touching
-// it.
+// viewBase is the compacted bulk of one or more snapshot views: the encoded
+// CSR slabs, the dense property slab and the ordinal mapping of every node
+// visible when it was compacted. It is immutable once built (by buildView
+// or foldView); delta refreshes layer overlays on top without touching it.
 type viewBase struct {
-	nodes []ids.ID         // ordinal -> node ID, ascending
-	ord   map[ids.ID]int32 // node ID -> ordinal
+	// nodes maps ordinal -> node ID: ascending after a rescan, followed by
+	// the nodes each fold since appended.
+	nodes []ids.ID
+	ord   ordMap // node ID -> ordinal
 
-	// Dense property storage: the property rows of all ordinals packed
-	// back to back in one slab. Row of ordinal o is
-	// props[propOff[o]:propOff[o+1]] — fixed-width (Key, Value) pairs,
-	// strings as interned symbols — replacing the per-node Props slice
-	// headers (and their per-node allocations) of the uncompacted store.
-	props   []Prop
-	propOff []uint32
+	// Dense property storage: the property rows of all ordinals in one
+	// slab of fixed-width (Key, Value) pairs, strings as interned symbols —
+	// replacing the per-node Props slice headers (and their per-node
+	// allocations) of the uncompacted store. propRow[o] locates ordinal o's
+	// row. A rescan packs the rows in ordinal order; a fold appends the
+	// rows it replaces or adds after the old ones, sharing the slab's
+	// backing array with its predecessor, and counts the rows it leaves
+	// behind in propDead until a repack drops them.
+	props    []Prop
+	propRow  []propSpan
+	propDead int
 
 	slab    []byte // the shared adjacency byte slab every csr.data aliases
 	out, in [edgeTypeMax]csr
@@ -105,7 +116,20 @@ type viewBase struct {
 	// without an ordinal — impossible for a consistent view, kept as a
 	// correctness backstop rather than a panic on the build path).
 	spill map[edgeKey][]Edge
+
+	// entries is the number of direction-entries encoded in the slab; it
+	// scales the delta ring's bound (delta.go).
+	entries int
+
+	// ends records the coding state after the last entry of every slab
+	// row of at least longRow entries, so a fold extends a long row without
+	// walking it.
+	ends map[edgeKey]rowEnd
 }
+
+// longRow is the entry count from which a row's end is kept in
+// viewBase.ends.
+const longRow = 64
 
 // edgeKey identifies one overlay adjacency row: ordinal, edge type and
 // direction packed into one map key.
@@ -122,9 +146,9 @@ func makeEdgeKey(ord int32, t EdgeType, in bool) edgeKey {
 // Timestamp returns the commit timestamp the view is frozen at.
 func (v *SnapshotView) Timestamp() int64 { return v.ts }
 
-// Era identifies the view's compaction lineage. Views of the same era share
-// one ordinal assignment (delta refreshes append, never reassign); a full
-// rebuild starts a new era and reassigns ordinals, invalidating any
+// Era identifies the view's ordinal lineage. Views of the same era share
+// one ordinal assignment (refreshes and folds append, never reassign); a
+// rescan starts a new era and reassigns ordinals, invalidating any
 // ordinal-keyed state held by callers.
 func (v *SnapshotView) Era() uint64 { return v.era }
 
@@ -135,7 +159,7 @@ func (v *SnapshotView) NumNodes() int { return len(v.base.nodes) + len(v.nodesOv
 // Ord returns the compact ordinal of a node, or false if the node is not
 // visible in the view.
 func (v *SnapshotView) Ord(id ids.ID) (int32, bool) {
-	if o, ok := v.base.ord[id]; ok {
+	if o, ok := v.base.ord.get(id); ok {
 		return o, true
 	}
 	if v.ordOver != nil {
@@ -277,12 +301,28 @@ func (v *SnapshotView) propsAt(ord int32) Props {
 		}
 	}
 	b := v.base
-	row := b.props[b.propOff[ord]:b.propOff[ord+1]]
+	sp := b.propRow[ord]
+	row := b.props[sp.start() : sp.start()+sp.len()]
 	if len(row) == 0 {
 		return nil
 	}
 	return Props(row)
 }
+
+// propSpan locates one property row in a viewBase's slab: its start index
+// and length packed into one word (rows are short — an SNB entity has at
+// most ~12 properties).
+type propSpan uint64
+
+func makePropSpan(start, n int) propSpan {
+	if n > 0xffff {
+		panic("store: property row too long for a view")
+	}
+	return propSpan(uint64(start)<<16 | uint64(n))
+}
+
+func (sp propSpan) start() uint64 { return uint64(sp >> 16) }
+func (sp propSpan) len() uint64   { return uint64(sp & 0xffff) }
 
 // Prop returns one property of a node (zero Value if the node or property
 // is absent).
@@ -342,10 +382,15 @@ const (
 	// ViewRefreshed means the call advanced the cached view by applying
 	// pending commit deltas copy-on-write — cost proportional to the delta.
 	ViewRefreshed
-	// ViewRebuilt means the call paid a full recompaction — the delta ring
-	// overflowed, the compaction threshold was crossed, or no view existed
-	// yet. Rebuilds that replace a cached view bump the era.
+	// ViewRebuilt means the call rescanned the store — no view existed yet,
+	// the delta ring overflowed (or held a window too large to fold), or
+	// refreshing is disabled (threshold n <= 0). Rebuilds that replace a
+	// cached view bump the era.
 	ViewRebuilt
+	// ViewFolded means the overlay would have crossed the compaction
+	// threshold, so the call compacted the cached view and the pending
+	// deltas into a new flat view — ordinals and era kept, no store scan.
+	ViewFolded
 )
 
 // String names the event for reports.
@@ -357,6 +402,8 @@ func (e ViewEvent) String() string {
 		return "refresh"
 	case ViewRebuilt:
 		return "rebuild"
+	case ViewFolded:
+		return "fold"
 	}
 	return "unknown"
 }
@@ -367,20 +414,21 @@ func (e ViewEvent) String() string {
 // epoch): concurrent readers at the same epoch share one view with no
 // locking on the read path.
 //
-// The first reader after a commit advances the view incrementally when it
-// can: the pending commit deltas are applied copy-on-write onto the cached
-// view (cost proportional to the delta — see delta.go), keeping existing
-// ordinals stable within the era. A full O(visible nodes + edges) rebuild
-// runs only when the accumulated overlay crosses the compaction threshold
-// (SetViewCompactThreshold), the delta ring overflowed, or no cached view
-// exists; it starts a new era.
+// The first reader after a commit advances the view from the pending
+// commit deltas (see delta.go): applied copy-on-write onto the cached view
+// while the accumulated overlay stays under the compaction threshold
+// (SetViewCompactThreshold), folded with it into a new flat view once it
+// would cross it. Both keep existing ordinals and the era, and neither
+// reads the store's shards. A full O(visible nodes + edges) rescan runs
+// only when no cached view exists, the delta ring overflowed, or the
+// threshold is n <= 0; it starts a new era.
 func (s *Store) CurrentView() *SnapshotView {
 	v, _ := s.AcquireView()
 	return v
 }
 
 // AcquireView is CurrentView plus the maintenance event the call performed
-// (hit, delta refresh or full rebuild), letting callers attribute the
+// (hit, delta refresh, fold or rescan), letting callers attribute the
 // acquisition latency they just paid. Store-wide totals are available from
 // ViewStats.
 func (s *Store) AcquireView() (*SnapshotView, ViewEvent) {
@@ -397,20 +445,61 @@ func (s *Store) AcquireView() (*SnapshotView, ViewEvent) {
 	if old != nil && old.ts == ts {
 		return old, ViewHit
 	}
+	// While this call maintains the view, the ring holds the commits that
+	// land meanwhile past its bound (a reader is draining it), and the call
+	// folds them in before it returns — a long advance, a rescan above
+	// all, would otherwise overflow the ring and force the next one to
+	// rescan again.
+	s.holdRing(true)
+	defer s.holdRing(false)
+	nv, ev := s.maintainView(old, ts)
+	return s.catchUp(nv), ev
+}
+
+// catchUp advances the cached view nv while the ring holds more than its
+// bound, at most maxCatchUps times, and returns the last view.
+//
+//snb:locked viewMu
+func (s *Store) catchUp(nv *SnapshotView) *SnapshotView {
+	for i := 0; i < maxCatchUps && s.ringOverBound(); i++ {
+		next, _, ok := s.advanceView(nv, s.clock.Load())
+		if !ok {
+			break
+		}
+		s.view.Store(next)
+		nv = next
+	}
+	return nv
+}
+
+// maxCatchUps bounds the extra advances one AcquireView runs to bring the
+// ring back under its bound.
+const maxCatchUps = 4
+
+// maintainView advances the cached view old to ts, or rescans the store
+// when it cannot, and caches the result.
+//
+//snb:locked viewMu
+func (s *Store) maintainView(old *SnapshotView, ts int64) (*SnapshotView, ViewEvent) {
 	if old != nil {
-		if nv, ok := s.refreshView(old, ts); ok {
+		if nv, ev, ok := s.advanceView(old, ts); ok {
 			s.view.Store(nv)
-			s.viewRefreshes.Add(1)
-			return nv, ViewRefreshed
+			return nv, ev
 		}
 	}
+	// The rescan covers every delta up to ts: dropping them first leaves
+	// the ring to the commits that land while it runs.
+	s.deltaMu.Lock()
+	s.dropDeltasLocked(ts, true)
+	s.deltaMu.Unlock()
 	nv := s.buildView(ts)
 	s.view.Store(nv)
 	s.viewRebuilds.Add(1)
 	if old != nil {
 		s.viewEraBumps.Add(1)
 	}
-	s.resetDeltas(ts)
+	s.appliedCost = 0
+	s.scaleRing(nv)
 	return nv, ViewRebuilt
 }
 
@@ -471,9 +560,9 @@ func (s *Store) buildView(ts int64) *SnapshotView {
 	sort.Slice(b.nodes, func(i, j int) bool { return b.nodes[i] < b.nodes[j] })
 
 	n := len(b.nodes)
-	b.ord = make(map[ids.ID]int32, n)
+	b.ord.shared = make(map[ids.ID]int32, n)
 	for i, id := range b.nodes {
-		b.ord[id] = int32(i)
+		b.ord.shared[id] = int32(i)
 	}
 
 	// Group ordinals by owning shard so each pass locks every shard once
@@ -551,9 +640,9 @@ func (s *Store) buildView(ts int64) *SnapshotView {
 
 	// Encode pass (no locks): delta/varint-code every row into one shared
 	// byte slab, trimming each type/direction's offset index to the ordinal
-	// range that has edges at all (ID-sorted ordinals group nodes by kind,
-	// so a relation touching one kind pays offsets only across that kind's
-	// range). csr.data stays nil until the slab stops growing — appends may
+	// range that has edges at all (ordinals assigned in ID order group
+	// nodes by kind, so a relation touching one kind pays offsets only
+	// across that kind's range). csr.data stays nil until the slab stops growing — appends may
 	// reallocate it — and is patched to its subslice at the end.
 	type slabRange struct{ start, end int }
 	var ranges [2][edgeTypeMax]slabRange
@@ -584,7 +673,7 @@ func (s *Store) buildView(ts int64) *SnapshotView {
 			if len(row) == 0 {
 				continue
 			}
-			next, ok := appendAdjRow(slab, row, b.ord)
+			next, end, ok := appendAdjRow(slab, row, b.ord)
 			if !ok {
 				// A neighbour without an ordinal: keep the raw row.
 				if b.spill == nil {
@@ -595,6 +684,12 @@ func (s *Store) buildView(ts int64) *SnapshotView {
 			}
 			slab = next
 			c.entries += len(row)
+			if len(row) >= longRow {
+				if b.ends == nil {
+					b.ends = make(map[edgeKey]rowEnd)
+				}
+				b.ends[makeEdgeKey(o, t, dir == 1)] = end
+			}
 		}
 		c.offsets[hi-lo+1] = uint32(len(slab) - base)
 		ranges[dir][t].end = len(slab)
@@ -610,6 +705,7 @@ func (s *Store) buildView(ts int64) *SnapshotView {
 	}
 	b.slab = slab
 	for t := EdgeType(1); t < edgeTypeMax; t++ {
+		b.entries += b.out[t].entries + b.in[t].entries
 		if b.out[t].offsets != nil {
 			r := ranges[0][t]
 			b.out[t].data = slab[r.start:r.end]
@@ -626,12 +722,11 @@ func (s *Store) buildView(ts int64) *SnapshotView {
 		total += len(ps)
 	}
 	b.props = make([]Prop, 0, total)
-	b.propOff = make([]uint32, n+1)
+	b.propRow = make([]propSpan, n)
 	for i, ps := range rawProps {
-		b.propOff[i] = uint32(len(b.props))
+		b.propRow[i] = makePropSpan(len(b.props), len(ps))
 		b.props = append(b.props, ps...)
 	}
-	b.propOff[n] = uint32(len(b.props))
 
 	// Per-kind scan lists, matching Txn.NodesOfKind's visible-prefix
 	// semantics over the commit-ordered kind lists.
