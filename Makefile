@@ -89,7 +89,8 @@ bench-recovery:
 
 # Memory-footprint sweep over the compact frozen representation: bytes per
 # node / per adjacency entry of the snapshot view (delta+varint CSR, dense
-# property columns, interned strings) against the uncompressed baseline, at
+# property columns, interned strings) against the uncompressed baseline,
+# the MVCC store's bytes per node and the live process heap, at
 # 250 / 1000 / 2500 persons through the streamed generate+load pipeline.
 # ns/op doubles as end-to-end load latency at each scale. Emits
 # BENCH_memory.json; the report stamps cpus/gomaxprocs/cpu model so
@@ -97,7 +98,7 @@ bench-recovery:
 bench-mem:
 	$(GO) test ./internal/bench/ -run xxx -bench 'BenchmarkMemory' -benchtime 1x -timeout 30m > $(BENCH_TMP)
 	$(GO) run ./cmd/benchjson -out BENCH_memory.json \
-		-note "resident footprint of the frozen snapshot view at 250/1000/2500 persons (streamed load): viewbytes/node, adjbytes/edge vs rawadjbytes/edge (16-byte-Edge baseline; adjcompression is their ratio, acceptance bar >= 2.5x at 250p), intern table bytes, process heap; ns/op is the full generate+split+load+view-build latency; regenerate with \`make bench-mem\`" \
+		-note "resident footprint of the frozen snapshot view at 250/1000/2500 persons (streamed load): viewbytes/node, adjbytes/edge vs rawadjbytes/edge (16-byte-Edge baseline; adjcompression is their ratio, acceptance bar >= 2.5x at 250p), intern table bytes, mvccbytes/node (the MVCC store per node as ComputeStats reports it for Table 8), heapMB (process heap with the store and its view live); ns/op is the full generate+split+load+view-build latency; regenerate with \`make bench-mem\`" \
 		< $(BENCH_TMP)
 	@rm -f $(BENCH_TMP)
 

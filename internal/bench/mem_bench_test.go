@@ -12,10 +12,11 @@ import (
 // representation at increasing scale: bytes per node and per adjacency
 // entry of the snapshot view (delta+varint CSR, dense property columns,
 // interned strings), the uncompressed baseline the codec is measured
-// against, and process heap. One iteration is the full streamed
-// generate+split+load pipeline plus a view build, so ns/op doubles as the
-// end-to-end load latency at that scale. Emitted to BENCH_memory.json by
-// `make bench-mem`.
+// against, the MVCC store's bytes per node (ComputeStats, Table 8), and
+// the process heap with the store and its view live. One iteration is the
+// full streamed generate+split+load pipeline plus a view build, so ns/op
+// doubles as the end-to-end load latency at that scale. Emitted to
+// BENCH_memory.json by `make bench-mem`.
 func BenchmarkMemory(b *testing.B) {
 	for _, persons := range []int{250, 1000, 2500} {
 		b.Run(fmt.Sprintf("sf=%dp", persons), func(b *testing.B) {
@@ -32,6 +33,9 @@ func BenchmarkMemory(b *testing.B) {
 				var ms runtime.MemStats
 				runtime.ReadMemStats(&ms)
 				heap = ms.HeapAlloc
+				// Without this the collection above reclaims the store
+				// and its view, and heapMB reads the intern table alone.
+				runtime.KeepAlive(env)
 			}
 			v := st.View
 			if v.Edges == 0 {
@@ -42,6 +46,7 @@ func BenchmarkMemory(b *testing.B) {
 			b.ReportMetric(float64(v.UncompressedAdjBytes)/float64(v.Edges), "rawadjbytes/edge")
 			b.ReportMetric(float64(v.UncompressedAdjBytes)/float64(v.AdjBytes), "adjcompression")
 			b.ReportMetric(float64(st.InternBytes), "internbytes")
+			b.ReportMetric(float64(st.MVCCBytes())/float64(st.Nodes), "mvccbytes/node")
 			b.ReportMetric(float64(v.Nodes), "nodes")
 			b.ReportMetric(float64(v.Edges)/2, "edges")
 			b.ReportMetric(float64(heap)/(1<<20), "heapMB")

@@ -157,11 +157,14 @@ func (s *Server) ListenAndServe(addr string) error {
 }
 
 // Serve accepts connections on ln until Shutdown closes it. It returns
-// nil after a clean shutdown.
+// nil after a clean shutdown. The store's first snapshot view is built
+// before the first accept, so no request pays that full rescan against
+// its deadline; connections dialled meanwhile wait in the listen backlog.
 func (s *Server) Serve(ln net.Listener) error {
 	s.connMu.Lock()
 	s.ln = ln
 	s.connMu.Unlock()
+	s.cfg.Store.CurrentView()
 	for {
 		c, err := ln.Accept()
 		if err != nil {

@@ -472,10 +472,12 @@ func loadCheckpoint(s *Store, path string) (int64, error) {
 	nNodes := int(d.u32())
 	// Restoring allocates one object per node, property and adjacency
 	// entry; at scale that is millions of small allocations on the restart
-	// critical path, so records, versions, props and edge lists are carved
-	// out of chunked arenas instead. Every sub-slice is capacity-clipped:
-	// a later append (SetProp version, new edge) reallocates privately and
-	// can never clobber a neighbouring list in the chunk.
+	// critical path, so records, versions, props, list headers, edge lists
+	// and hash-index ID lists are carved out of chunked arenas instead.
+	// Every carving is capacity-clipped (carve): a later append (SetProp
+	// version, new edge, a node's first list of a new type or direction,
+	// a new index entry) reallocates privately and can never clobber a
+	// neighbour in the chunk.
 	for i := range s.shards {
 		s.shards[i].nodes = make(map[ids.ID]*nodeRec, nNodes/shardCount+1)
 	}
@@ -483,31 +485,16 @@ func loadCheckpoint(s *Store, path string) (int64, error) {
 		recArena  []nodeRec
 		verArena  []nodeVersion
 		propArena []Prop
+		listArena []adjList
 		edgeArena []edgeRec
+		idArena   []ids.ID
 	)
-	const arenaChunk = 1 << 14
-	allocEdges := func(n int) []edgeRec {
-		if n > len(edgeArena) {
-			edgeArena = make([]edgeRec, max(n, arenaChunk))
-		}
-		out := edgeArena[:n:n]
-		edgeArena = edgeArena[n:]
-		return out
-	}
-	allocProps := func(n int) Props {
-		if n > len(propArena) {
-			propArena = make([]Prop, max(n, arenaChunk))
-		}
-		out := propArena[:n:n]
-		propArena = propArena[n:]
-		return Props(out)
-	}
 	for i := 0; i < nNodes && d.err == nil; i++ {
 		id := ids.ID(d.u64())
 		nProps := int(d.u16())
 		var props Props
 		if nProps > 0 {
-			props = allocProps(nProps)
+			props = carve(&propArena, nProps)
 			for j := range props {
 				key := PropKey(d.u8())
 				switch d.u8() {
@@ -526,22 +513,22 @@ func loadCheckpoint(s *Store, path string) (int64, error) {
 				}
 			}
 		}
-		if len(recArena) == 0 {
-			recArena = make([]nodeRec, arenaChunk)
-			verArena = make([]nodeVersion, arenaChunk)
-		}
-		rec := &recArena[0]
-		recArena = recArena[1:]
+		rec := &carve(&recArena, 1)[0]
 		rec.id = id
-		rec.versions = verArena[:1:1]
-		verArena = verArena[1:]
+		rec.versions = carve(&verArena, 1)
 		rec.versions[0] = nodeVersion{commit: clock, props: props}
 		nLists := int(d.u8())
+		if nLists > 0 && d.err == nil {
+			rec.adj.lists = carve(&listArena, nLists)
+		}
 		for j := 0; j < nLists && d.err == nil; j++ {
 			t := EdgeType(d.u8())
 			dir := d.u8()
 			count := int(d.u32())
-			if t == 0 || t >= edgeTypeMax || dir > 1 {
+			// Lists are written in listBit order, the order the node keeps
+			// them in; a bit at or below one already set is out of order.
+			bit := listBit(t, dir == 1)
+			if t == 0 || t >= edgeTypeMax || dir > 1 || rec.adj.mask >= bit {
 				return 0, fmt.Errorf("%w: checkpoint %s: bad adjacency list header", ErrCorrupt, base)
 			}
 			if count > len(d.b)-d.pos {
@@ -552,7 +539,7 @@ func loadCheckpoint(s *Store, path string) (int64, error) {
 			}
 			// Zigzag-varint delta entries, mirroring the encoder (this loop
 			// touches every edge in the database).
-			list := allocEdges(count)
+			list := carve(&edgeArena, count)
 			prevPeer, prevStamp := int64(0), int64(0)
 			for k := range list {
 				prevPeer += d.varint()
@@ -562,17 +549,17 @@ func loadCheckpoint(s *Store, path string) (int64, error) {
 			if d.err != nil {
 				return 0, fmt.Errorf("%w: checkpoint %s: adjacency list overruns file", ErrCorrupt, base)
 			}
-			if dir == 0 {
-				rec.adj.out[t] = list
-			} else {
-				rec.adj.in[t] = list
-			}
+			rec.adj.lists[j] = adjList{t: t, in: dir == 1, edges: list}
+			rec.adj.mask |= bit
 		}
 		if d.err == nil {
 			s.shards[shardIndex(id)].nodes[id] = rec
 		}
 	}
 
+	// Kind lists hold checkpointed nodes only, so one slab of nNodes IDs
+	// holds them all (bounded by the 8 bytes each takes in the file).
+	kindArena := make([]ids.ID, min(nNodes, (len(d.b)-d.pos)/8))
 	nKinds := int(d.u16())
 	for i := 0; i < nKinds && d.err == nil; i++ {
 		k := ids.Kind(d.u8())
@@ -580,7 +567,7 @@ func loadCheckpoint(s *Store, path string) (int64, error) {
 		if d.err != nil || d.pos+count*8 > len(d.b) {
 			return 0, fmt.Errorf("%w: checkpoint %s: kind list overruns file", ErrCorrupt, base)
 		}
-		list := make([]ids.ID, count)
+		list := carve(&kindArena, count)
 		raw := d.b[d.pos : d.pos+count*8]
 		for j := range list {
 			list[j] = ids.ID(binary.LittleEndian.Uint64(raw[j*8:]))
@@ -630,12 +617,19 @@ func loadCheckpoint(s *Store, path string) (int64, error) {
 		if hi == nil {
 			return 0, fmt.Errorf("store: checkpoint %s: hash index on %v.%v not registered (register the writing store's indexes before Open)", base, kind, prop)
 		}
+		if d.err != nil || keys > (len(d.b)-d.pos)/8 {
+			return 0, fmt.Errorf("%w: checkpoint %s: hash index overruns file", ErrCorrupt, base)
+		}
+		hi.m = make(map[string][]ids.ID, keys)
 		for j := 0; j < keys && d.err == nil; j++ {
 			key := d.str(int(d.u32()))
 			count := int(d.u32())
-			list := make([]ids.ID, 0, count)
-			for k := 0; k < count; k++ {
-				list = append(list, ids.ID(d.u64()))
+			if d.err != nil || count > (len(d.b)-d.pos)/8 {
+				return 0, fmt.Errorf("%w: checkpoint %s: hash index overruns file", ErrCorrupt, base)
+			}
+			list := carve(&idArena, count)
+			for k := range list {
+				list[k] = ids.ID(d.u64())
 			}
 			if d.err == nil {
 				hi.m[key] = list
@@ -653,6 +647,22 @@ func loadCheckpoint(s *Store, path string) (int64, error) {
 	s.clock.Store(clock)
 	s.commits.Store(clock) // one logged record per commit; approximate but monotone
 	return clock, nil
+}
+
+// arenaChunk is the element count of one restore arena chunk.
+const arenaChunk = 1 << 14
+
+// carve returns the next n elements of *arena, replacing it with a fresh
+// chunk when fewer than n remain. The result is capacity-clipped, so an
+// append to it reallocates privately instead of overwriting the next
+// carving.
+func carve[T any](arena *[]T, n int) []T {
+	if n > len(*arena) {
+		*arena = make([]T, max(n, arenaChunk))
+	}
+	out := (*arena)[:n:n]
+	*arena = (*arena)[n:]
+	return out
 }
 
 // pruneCheckpoints removes all but the newest retain checkpoints plus any

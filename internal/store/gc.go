@@ -56,10 +56,7 @@ func (s *Store) GC(horizon int64) int {
 		sh.mu.Lock()
 		for _, rec := range sh.nodes {
 			reclaimed += gcVersions(rec, horizon)
-			for t := EdgeType(1); t < edgeTypeMax; t++ {
-				reclaimed += gcEdges(&rec.adj.out[t], horizon)
-				reclaimed += gcEdges(&rec.adj.in[t], horizon)
-			}
+			reclaimed += gcAdjacency(&rec.adj, horizon)
 		}
 		sh.mu.Unlock()
 	}
@@ -84,6 +81,25 @@ func gcVersions(rec *nodeRec, horizon int64) int {
 	}
 	rec.versions = append(rec.versions[:0:0], rec.versions[keep:]...)
 	return keep
+}
+
+// gcAdjacency reclaims dead tombstones from every list of one node and
+// drops the lists left empty, compacting in place: the lists slice is the
+// node's own (checkpoint arena carvings are capacity-clipped).
+func gcAdjacency(a *adjacency, horizon int64) int {
+	n := 0
+	kept := a.lists[:0]
+	for _, l := range a.lists {
+		n += gcEdges(&l.edges, horizon)
+		if len(l.edges) > 0 {
+			kept = append(kept, l)
+		} else {
+			a.mask &^= listBit(l.t, l.in)
+		}
+	}
+	clear(a.lists[len(kept):]) // release the dropped lists' edge arrays
+	a.lists = kept
+	return n
 }
 
 // gcEdges removes tombstoned entries dead at the horizon from one
@@ -133,14 +149,9 @@ func (s *Store) TombstoneCount() int {
 		sh := &s.shards[i]
 		sh.mu.RLock()
 		for _, rec := range sh.nodes {
-			for t := EdgeType(1); t < edgeTypeMax; t++ {
-				for j := range rec.adj.out[t] {
-					if rec.adj.out[t][j].del != 0 {
-						n++
-					}
-				}
-				for j := range rec.adj.in[t] {
-					if rec.adj.in[t][j].del != 0 {
+			for _, l := range rec.adj.lists {
+				for j := range l.edges {
+					if l.edges[j].del != 0 {
 						n++
 					}
 				}

@@ -349,12 +349,7 @@ func (s *Store) applyDecoded(dtx *decodedTxn) error {
 	ts := dtx.ts
 	// Created nodes were serialised in sorted ID order by Commit, so the
 	// per-kind scan lists rebuild identically.
-	for _, n := range dtx.created {
-		sh := s.shardFor(n.id)
-		sh.mu.Lock()
-		sh.nodes[n.id] = &nodeRec{id: n.id, versions: []nodeVersion{{commit: ts, props: n.props}}}
-		sh.mu.Unlock()
-	}
+	s.installNodes(dtx.created, dtx.edges, ts)
 	if len(dtx.created) > 0 {
 		s.kindMu.Lock()
 		for _, n := range dtx.created {

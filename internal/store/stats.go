@@ -43,6 +43,19 @@ type Stats struct {
 	View ViewMem
 }
 
+// MVCCBytes is the footprint of the MVCC store itself: every table and
+// index, without the intern table and the snapshot view.
+func (st Stats) MVCCBytes() int64 {
+	var n int64
+	for _, t := range st.Tables {
+		n += t.Bytes
+	}
+	for _, ix := range st.Indexes {
+		n += ix.Bytes
+	}
+	return n
+}
+
 // ViewMem breaks down the resident footprint of one SnapshotView.
 // All byte figures are approximate heap footprints, consistent with
 // ComputeStats.
@@ -141,16 +154,38 @@ func (v *SnapshotView) MemStats() ViewMem {
 	return m
 }
 
-const (
-	nodeOverheadBytes = 64 // map entry + record header + version header
-	edgeBytes         = 32 // edgeRec: peer + stamp + commit + del
-	indexEntryBytes   = 24 // btree.Entry
+// Per-record sizes of the MVCC layout, taken from the types themselves so
+// the Table 8 figures follow the layout as it changes.
+var (
+	nodeRecBytes     = int64(unsafe.Sizeof(nodeRec{}))
+	adjListBytes     = int64(unsafe.Sizeof(adjList{}))
+	nodeVersionBytes = int64(unsafe.Sizeof(nodeVersion{}))
+	propBytes        = int64(unsafe.Sizeof(Prop{}))
+	edgeRecBytes     = int64(unsafe.Sizeof(edgeRec{}))
 )
 
+const indexEntryBytes = 24 // btree.Entry
+
+// nodeBytes is one node record's heap footprint: its shard-map entry, the
+// record, its list headers and its version chain with each version's
+// property list. Capacities, not lengths, are counted: append slack is
+// resident too.
+func nodeBytes(rec *nodeRec) int64 {
+	b := mapEntryBytes + nodeRecBytes + int64(cap(rec.adj.lists))*adjListBytes +
+		int64(cap(rec.versions))*nodeVersionBytes
+	for _, v := range rec.versions {
+		b += int64(cap(v.props)) * propBytes
+	}
+	return b
+}
+
 // ComputeStats scans the store and reports per-table and per-index sizes.
-// It takes shard read locks briefly per shard; sizes are approximate heap
-// footprints (the analogue of Virtuoso's allocated database pages in
-// Table 8).
+// It takes shard read locks briefly per shard; sizes are heap footprints
+// derived from the stored types' sizes and slice capacities (the analogue
+// of Virtuoso's allocated database pages in Table 8). A node table holds
+// its records, list headers and versions; an edge table holds the edge
+// entries of both directions. A node kind's scan list is counted under its
+// table.
 func (s *Store) ComputeStats() Stats {
 	kindRows := map[ids.Kind]int{}
 	kindBytes := map[ids.Kind]int64{}
@@ -165,27 +200,25 @@ func (s *Store) ComputeStats() Stats {
 			totalNodes++
 			k := id.Kind()
 			kindRows[k]++
-			b := int64(nodeOverheadBytes)
-			for _, v := range rec.versions {
-				b += int64(v.props.bytes())
-			}
-			kindBytes[k] += b
-			for t := EdgeType(1); t < edgeTypeMax; t++ {
-				n := len(rec.adj.out[t])
-				if n > 0 {
-					totalEdges += n
-					edgeRows[t] += n
-					edgeBytesBy[t] += int64(n * edgeBytes)
-				}
+			kindBytes[k] += nodeBytes(rec)
+			for _, l := range rec.adj.lists {
 				// In-edges are the reverse adjacency of the same logical
 				// edge; count their space under the same table.
-				if m := len(rec.adj.in[t]); m > 0 {
-					edgeBytesBy[t] += int64(m * edgeBytes)
+				edgeBytesBy[l.t] += int64(cap(l.edges)) * edgeRecBytes
+				if !l.in {
+					totalEdges += len(l.edges)
+					edgeRows[l.t] += len(l.edges)
 				}
 			}
 		}
 		sh.mu.RUnlock()
 	}
+
+	s.kindMu.RLock()
+	for k, list := range s.byKind {
+		kindBytes[k] += int64(cap(list)) * 8
+	}
+	s.kindMu.RUnlock()
 
 	var st Stats
 	st.Nodes = totalNodes
@@ -193,8 +226,8 @@ func (s *Store) ComputeStats() Stats {
 	for k, rows := range kindRows {
 		st.Tables = append(st.Tables, TableStat{Name: k.String(), Rows: rows, Bytes: kindBytes[k]})
 	}
-	for t, rows := range edgeRows {
-		st.Tables = append(st.Tables, TableStat{Name: t.String(), Rows: rows, Bytes: edgeBytesBy[t]})
+	for t, b := range edgeBytesBy {
+		st.Tables = append(st.Tables, TableStat{Name: t.String(), Rows: edgeRows[t], Bytes: b})
 	}
 	sort.Slice(st.Tables, func(i, j int) bool { return st.Tables[i].Bytes > st.Tables[j].Bytes })
 

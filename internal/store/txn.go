@@ -1,8 +1,11 @@
 package store
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"ldbcsnb/internal/btree"
@@ -248,10 +251,7 @@ func (tx *Txn) degree(id ids.ID, t EdgeType, in bool) int {
 	sh := tx.s.shardFor(id)
 	sh.mu.RLock()
 	if rec := sh.nodes[id]; rec != nil {
-		list := rec.adj.out[t]
-		if in {
-			list = rec.adj.in[t]
-		}
+		list := rec.adj.get(t, in)
 		for i := range list {
 			if list[i].visibleAt(tx.snapshot) {
 				n++
@@ -280,12 +280,7 @@ func (tx *Txn) neighbours(id ids.ID, t EdgeType, in bool) []Edge {
 	sh := tx.s.shardFor(id)
 	sh.mu.RLock()
 	if rec := sh.nodes[id]; rec != nil {
-		var list []edgeRec
-		if in {
-			list = rec.adj.in[t]
-		} else {
-			list = rec.adj.out[t]
-		}
+		list := rec.adj.get(t, in)
 		out = make([]Edge, 0, len(list))
 		for i := range list {
 			if e := &list[i]; e.visibleAt(tx.snapshot) {
@@ -470,11 +465,8 @@ func (tx *Txn) commitLocked() (int64, error) {
 		created = append(created, n)
 	}
 	sort.Slice(created, func(i, j int) bool { return created[i].id < created[j].id })
+	s.installNodes(created, tx.newEdges, ts)
 	for _, n := range created {
-		sh := s.shardFor(n.id)
-		sh.mu.Lock()
-		sh.nodes[n.id] = &nodeRec{id: n.id, versions: []nodeVersion{{commit: ts, props: n.props}}}
-		sh.mu.Unlock()
 		delta.nodes = append(delta.nodes, deltaNode{id: n.id, props: n.props, inKindList: true})
 	}
 	if len(created) > 0 {
@@ -544,6 +536,39 @@ func (tx *Txn) commitLocked() (int64, error) {
 	return ts, nil
 }
 
+// installNodes stores a commit's created nodes, which are sorted by ID.
+// Each record's list headers are sized to the distinct lists the commit's
+// edges give the node, so the headers are allocated once instead of
+// growing list by list. Shared by Commit and recovery's lean replay.
+func (s *Store) installNodes(created []*pendingNode, edges []pendingEdge, ts int64) {
+	var small [16]uint32 // typical update commits; larger ones allocate
+	lists := small[:]
+	if len(created) > len(small) {
+		lists = make([]uint32, len(created))
+	}
+	if len(created) > 0 {
+		for _, pe := range edges {
+			if i, ok := findCreated(created, pe.from); ok {
+				lists[i] |= listBit(pe.t, false)
+			}
+			if i, ok := findCreated(created, pe.to); ok {
+				lists[i] |= listBit(pe.t, !pe.sym)
+			}
+		}
+	}
+	for i, n := range created {
+		sh := s.shardFor(n.id)
+		sh.mu.Lock()
+		sh.nodes[n.id] = newNodeRec(n.id, ts, n.props, bits.OnesCount32(lists[i]))
+		sh.mu.Unlock()
+	}
+}
+
+// findCreated returns the index of id in created, sorted by ID.
+func findCreated(created []*pendingNode, id ids.ID) (int, bool) {
+	return slices.BinarySearchFunc(created, id, func(n *pendingNode, id ids.ID) int { return cmp.Compare(n.id, id) })
+}
+
 // indexNewNodes inserts created nodes into the registered secondary
 // indexes. Shared by Commit and recovery's lean replay (recovery.go).
 func (s *Store) indexNewNodes(created []*pendingNode) {
@@ -581,17 +606,14 @@ func (s *Store) installEdge(delta *CommitDelta, from ids.ID, t EdgeType, to ids.
 	sh.mu.Lock()
 	rec := sh.nodes[from]
 	if rec == nil {
-		rec = &nodeRec{id: from, versions: []nodeVersion{{commit: ts, props: nil}}}
+		rec = newNodeRec(from, ts, nil, 1)
 		sh.nodes[from] = rec
 		if delta != nil {
 			delta.nodes = append(delta.nodes, deltaNode{id: from})
 		}
 	}
-	if reverse {
-		rec.adj.in[t] = append(rec.adj.in[t], edgeRec{peer: to, stamp: stamp, commit: ts})
-	} else {
-		rec.adj.out[t] = append(rec.adj.out[t], edgeRec{peer: to, stamp: stamp, commit: ts})
-	}
+	list := rec.adj.list(t, reverse)
+	*list = append(*list, edgeRec{peer: to, stamp: stamp, commit: ts})
 	sh.mu.Unlock()
 	if delta != nil {
 		delta.edges = append(delta.edges, deltaEdge{owner: from, peer: to, stamp: stamp, t: t, in: reverse})
@@ -609,7 +631,7 @@ func (s *Store) applyDelete(delta *CommitDelta, pd pendingDel, ts int64) {
 	sh := s.shardFor(pd.from)
 	sh.mu.Lock()
 	if rec := sh.nodes[pd.from]; rec != nil {
-		list := rec.adj.out[pd.t]
+		list := rec.adj.get(pd.t, false)
 		for i := len(list) - 1; i >= 0; i-- {
 			if e := &list[i]; e.peer == pd.to && e.del == 0 {
 				e.del = ts
@@ -644,13 +666,13 @@ func (s *Store) applyDelete(delta *CommitDelta, pd pendingDel, ts int64) {
 // node: the in-list entry (directed edges) or, failing that, the out-list
 // entry with the same insertion commit (symmetric knows edges).
 func mirrorEdge(rec *nodeRec, t EdgeType, peer ids.ID, commit int64) (*edgeRec, bool) {
-	list := rec.adj.in[t]
+	list := rec.adj.get(t, true)
 	for i := len(list) - 1; i >= 0; i-- {
 		if e := &list[i]; e.peer == peer && e.commit == commit && e.del == 0 {
 			return e, true
 		}
 	}
-	list = rec.adj.out[t]
+	list = rec.adj.get(t, false)
 	for i := len(list) - 1; i >= 0; i-- {
 		if e := &list[i]; e.peer == peer && e.commit == commit && e.del == 0 {
 			return e, false

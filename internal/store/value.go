@@ -200,13 +200,6 @@ func (v Value) GoString() string {
 	}
 }
 
-// bytes approximates the heap footprint of the value, for Stats (Table 8).
-// String payloads live in the shared intern arena and are accounted once,
-// under Stats.InternBytes — not per occurrence here.
-func (v Value) bytes() int {
-	return 16 // fixed-width tagged union
-}
-
 // Prop is one (key, value) property pair.
 type Prop struct {
 	Key PropKey
@@ -237,12 +230,4 @@ func (ps Props) with(k PropKey, v Value) Props {
 		}
 	}
 	return append(out, Prop{k, v})
-}
-
-func (ps Props) bytes() int {
-	n := 0
-	for _, p := range ps {
-		n += 1 + p.Val.bytes()
-	}
-	return n
 }

@@ -594,9 +594,12 @@ func (s *Store) buildView(ts int64) *SnapshotView {
 			rec := sh.nodes[b.nodes[ord]]
 			ps, _ := rec.visibleProps(ts)
 			rawProps[ord] = ps
-			for t := EdgeType(1); t < edgeTypeMax; t++ {
-				rawOut[t].offsets[ord+1] = int32(countVisible(rec.adj.out[t], ts))
-				rawIn[t].offsets[ord+1] = int32(countVisible(rec.adj.in[t], ts))
+			for _, l := range rec.adj.lists {
+				raw := &rawOut[l.t]
+				if l.in {
+					raw = &rawIn[l.t]
+				}
+				raw.offsets[ord+1] = int32(countVisible(l.edges, ts))
 			}
 		}
 		sh.mu.RUnlock()
@@ -626,12 +629,13 @@ func (s *Store) buildView(ts int64) *SnapshotView {
 		sh.mu.RLock()
 		for _, ord := range ordsByShard[si] {
 			rec := sh.nodes[b.nodes[ord]]
-			for t := EdgeType(1); t < edgeTypeMax; t++ {
-				if c := &rawOut[t]; c.offsets != nil {
-					fillVisible(c.edges[c.offsets[ord]:c.offsets[ord+1]], rec.adj.out[t], ts)
+			for _, l := range rec.adj.lists {
+				c := &rawOut[l.t]
+				if l.in {
+					c = &rawIn[l.t]
 				}
-				if c := &rawIn[t]; c.offsets != nil {
-					fillVisible(c.edges[c.offsets[ord]:c.offsets[ord+1]], rec.adj.in[t], ts)
+				if c.offsets != nil {
+					fillVisible(c.edges[c.offsets[ord]:c.offsets[ord+1]], l.edges, ts)
 				}
 			}
 		}
